@@ -142,7 +142,7 @@ func showHealth(client *http.Client, base string) error {
 			}
 		}
 		// Wire efficiency: delta hit rate and bytes per pulled sample, the
-		// cost curve the delta/dictionary protocol flattens at high fan-in.
+		// cost curve the delta protocol flattens at high fan-in.
 		cost := ""
 		if p.Updates > 0 {
 			cost = fmt.Sprintf(" B/sample=%.0f", p.BytesPerSample)

@@ -38,11 +38,13 @@ import (
 	"strings"
 	"syscall"
 
-	"goldms/internal/core"
 	"goldms/internal/ldmsd"
 	"goldms/internal/obs"
 	"goldms/internal/transport"
 )
+
+// version is the release version of this LDMS reproduction.
+const version = "1.0.0"
 
 func main() {
 	var (
@@ -54,7 +56,7 @@ func main() {
 		workers = flag.Int("P", 4, "worker thread count")
 		stWork  = flag.Int("store-workers", 0, "store pipeline drain/flush worker count (default 2)")
 		compID  = flag.Uint64("i", 0, "default component id for sampler sets")
-		version = flag.Bool("V", false, "print version and exit")
+		showVer = flag.Bool("V", false, "print version and exit")
 
 		httpAddr   = flag.String("http", "", "HTTP query/observability gateway address, e.g. :8080")
 		httpWindow = flag.Duration("http-window", 0, "recent-window retention for /api/v1/series (default 10m; 0 keeps the default)")
@@ -68,8 +70,8 @@ func main() {
 		journal   = flag.Int("journal", 0, "event journal capacity in entries (default 512)")
 	)
 	flag.Parse()
-	if *version {
-		fmt.Println("ldmsd (goldms)", core.Version)
+	if *showVer {
+		fmt.Println("ldmsd (goldms)", version)
 		return
 	}
 

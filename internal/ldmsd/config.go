@@ -10,7 +10,6 @@ import (
 	"goldms/internal/metric"
 	"goldms/internal/obs"
 	"goldms/internal/tier"
-	"goldms/internal/transport"
 )
 
 // Exec interprets one ldmsd configuration command, in the style of the
@@ -27,11 +26,6 @@ import (
 //	stop name=<plugin>
 //	oneshot name=<plugin>
 //	listen xprt=<transport> addr=<addr>
-//	xprt_opt xprt=sock [legacy=1] [delta=0|1] [dict=0|1] [compress=0|1]
-//	             [rbuf=<bytes>] [wbuf=<bytes>]
-//	                             (tune the sock transport: capability masks
-//	                             and per-connection buffer sizes; applies to
-//	                             listeners and producers created afterward)
 //	http_listen addr=<addr> [window=<dur>] [points=<n>] [shards=<n>]
 //	             [compress=1] [pprof=1]
 //	                             (query & observability gateway)
@@ -90,7 +84,6 @@ func (d *Daemon) Exec(line string) (string, error) {
 var mutatingCommands = map[string]bool{
 	"load": true, "config": true, "start": true, "stop": true,
 	"oneshot": true, "listen": true, "http_listen": true, "advertise": true,
-	"xprt_opt":  true,
 	"prdcr_add": true, "prdcr_start": true, "prdcr_stop": true,
 	"prdcr_activate": true, "prdcr_deactivate": true,
 	"updtr_add": true, "updtr_prdcr_add": true, "updtr_prdcr_del": true,
@@ -114,8 +107,6 @@ func (d *Daemon) exec(cmd string, args map[string]string) (string, error) {
 		return d.cmdOneshot(args)
 	case "listen":
 		return d.cmdListen(args)
-	case "xprt_opt":
-		return d.cmdXprtOpt(args)
 	case "http_listen":
 		return d.cmdHTTPListen(args)
 	case "advertise":
@@ -369,73 +360,6 @@ func (d *Daemon) cmdListen(args map[string]string) (string, error) {
 		return "", err
 	}
 	return bound, nil
-}
-
-// cmdXprtOpt tunes the sock transport factory: capability masks (legacy=1
-// turns every extension off; delta/dict/compress toggle individually) and
-// per-connection read/write buffer sizes. The tuned factory replaces the
-// registered one: new listeners use it immediately, and producers
-// re-resolve it on every connect attempt, so a prdcr_stop/prdcr_start
-// cycle (or any reconnect) renegotiates under the new settings. Live
-// connections keep what they negotiated.
-func (d *Daemon) cmdXprtOpt(args map[string]string) (string, error) {
-	if x := args["xprt"]; x != "" && x != "sock" {
-		return "", fmt.Errorf("ldmsd: xprt_opt supports xprt=sock only, got %q", x)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sf, _ := d.transports["sock"].(transport.SockFactory)
-	if v, ok, err := parseOnOff("legacy", args); err != nil {
-		return "", err
-	} else if ok {
-		sf.Legacy = v
-	}
-	for _, opt := range []struct {
-		key  string
-		mask *bool
-	}{
-		{"delta", &sf.NoDelta},
-		{"dict", &sf.NoDict},
-		{"compress", &sf.NoCompress},
-	} {
-		if v, ok, err := parseOnOff(opt.key, args); err != nil {
-			return "", err
-		} else if ok {
-			*opt.mask = !v
-		}
-	}
-	for _, opt := range []struct {
-		key string
-		dst *int
-	}{
-		{"rbuf", &sf.ReadBuf},
-		{"wbuf", &sf.WriteBuf},
-	} {
-		if v := args[opt.key]; v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return "", fmt.Errorf("ldmsd: bad %s %q", opt.key, v)
-			}
-			*opt.dst = n
-		}
-	}
-	d.transports["sock"] = sf
-	return "", nil
-}
-
-// parseOnOff reads a 0/1 boolean option; ok is false when absent.
-func parseOnOff(key string, args map[string]string) (v, ok bool, err error) {
-	s, present := args[key]
-	if !present || s == "" {
-		return false, false, nil
-	}
-	switch s {
-	case "1", "true":
-		return true, true, nil
-	case "0", "false":
-		return false, true, nil
-	}
-	return false, false, fmt.Errorf("ldmsd: bad %s %q (want 0 or 1)", key, s)
 }
 
 // cmdHTTPListen starts the query & observability gateway.

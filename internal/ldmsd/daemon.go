@@ -257,12 +257,10 @@ func (d *Daemon) Latency() *obs.Pipeline { return &d.lat }
 // Logger returns the daemon's structured logger.
 func (d *Daemon) Logger() *slog.Logger { return d.log }
 
-// transportByName resolves a configured transport. The map is read under
-// d.mu because xprt_opt may replace the sock factory at runtime.
+// transportByName resolves a configured transport. The map is filled by
+// New and never written afterward, so it is read without a lock.
 func (d *Daemon) transportByName(name string) (transport.Factory, error) {
-	d.mu.Lock()
 	f, ok := d.transports[name]
-	d.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("ldmsd %s: transport %q not configured", d.name, name)
 	}

@@ -35,9 +35,9 @@ type virtualRunResult struct {
 // pipeline for 20 simulated seconds on a fresh virtual clock and
 // collects every observable output. compress selects the recent
 // window's storage mode; the codec is lossless on raw value bits, so
-// served results must not depend on it. noDelta models a legacy peer:
-// every pull moves a full data chunk, and since the delta codec is exact,
-// nothing downstream of the transport may differ.
+// served results must not depend on it. noDelta is the full-chunk
+// reference: every pull moves a full data chunk, and since the delta codec
+// is exact, nothing downstream of the transport may differ.
 func virtualPipelineRun(t *testing.T, compress, noDelta bool) virtualRunResult {
 	t.Helper()
 	sch := sched.NewVirtual(time.Unix(90000, 0))
@@ -204,7 +204,7 @@ func TestVirtualRunDeterministicCompressed(t *testing.T) {
 
 // TestVirtualRunDeltaEquivalence pins the delta protocol's exactness at the
 // system level: a pipeline pulling deltas and a pipeline pulling only full
-// chunks (a legacy peer) must produce byte-identical windows, stored rows,
+// chunks (the reference) must produce byte-identical windows, stored rows,
 // histograms and status output — the wire encoding may never leak into what
 // the daemon observes.
 func TestVirtualRunDeltaEquivalence(t *testing.T) {
@@ -215,7 +215,7 @@ func TestVirtualRunDeltaEquivalence(t *testing.T) {
 		t.Fatal("delta run moved no delta updates")
 	}
 	if full.deltaUpdates != 0 {
-		t.Fatalf("legacy run moved %d delta updates", full.deltaUpdates)
+		t.Fatalf("full-chunk run moved %d delta updates", full.deltaUpdates)
 	}
 	if delta.stats != full.stats {
 		t.Errorf("stats differ:\n delta: %+v\n full:  %+v", delta.stats, full.stats)

@@ -53,8 +53,7 @@ type Producer struct {
 	d         *Daemon
 	name      string
 	host      string
-	xprt      transport.Factory
-	xprtName  string // registry key for re-resolving xprt on reconnect
+	xprt      transport.Factory // nil for passive producers
 	reconnect time.Duration
 	standby   bool
 
@@ -99,7 +98,6 @@ func (d *Daemon) AddProducer(name, transportName, host string, reconnect time.Du
 		name:      name,
 		host:      host,
 		xprt:      f,
-		xprtName:  transportName,
 		reconnect: reconnect,
 		standby:   standby,
 		active:    !standby,
@@ -168,13 +166,10 @@ func (p *Producer) Host() string { return p.host }
 // TransportName returns the producer's transport type, or "peer" for
 // passive producers whose connection arrives from the remote side.
 func (p *Producer) TransportName() string {
-	p.mu.Lock()
-	x := p.xprt
-	p.mu.Unlock()
-	if x == nil {
+	if p.xprt == nil {
 		return "peer"
 	}
-	return x.Name()
+	return p.xprt.Name()
 }
 
 // ProducerCounters is a snapshot of a producer's lifecycle and transfer
@@ -280,19 +275,7 @@ func (p *Producer) connectAttempt() {
 	}
 	p.mu.Unlock()
 
-	// An xprt_opt retune replaces the registered factory; re-resolve it per
-	// attempt so the next (re)connection picks up the new settings. Resolved
-	// before taking p.mu — transportByName locks d.mu, and the established
-	// order elsewhere is d.mu then p.mu.
-	xprt := p.xprt
-	if f, err := p.d.transportByName(p.xprtName); err == nil {
-		xprt = f
-		p.mu.Lock()
-		p.xprt = f
-		p.mu.Unlock()
-	}
-
-	conn, err := xprt.Dial(p.host)
+	conn, err := p.xprt.Dial(p.host)
 	if err != nil {
 		p.connectionFailed()
 		return

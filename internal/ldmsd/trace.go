@@ -16,14 +16,14 @@ import (
 // hop, stamped as the sample clears each pipeline stage; a reduced set
 // inherits the chain of its newest contributing member; a locally sampled
 // set starts a fresh chain of one hop. The transport serves the chain
-// upward through the Server.Trace hook on trace-negotiated connections,
-// and every decoded upstream stamp feeds the span recorder so this tier
-// can attribute sample age per (daemon, role, stage) for the whole subtree
+// upward through the Server.Trace hook on every update response, and
+// every decoded upstream stamp feeds the span recorder so this tier can
+// attribute sample age per (daemon, role, stage) for the whole subtree
 // below it.
 //
 // All times come off the daemon's scheduler clock, so virtual-clock runs
-// produce byte-identical chains on replay. Legacy peers that never
-// negotiated the trace capability simply contribute no upstream hops: the
+// produce byte-identical chains on replay. Peers serving without a trace
+// hook send empty trace blocks and so contribute no upstream hops: the
 // chain restarts at this daemon and everything else works unchanged.
 type tracePlane struct {
 	d     *Daemon
@@ -70,10 +70,10 @@ func (tp *tracePlane) entryLocked(name string, role obs.HopRole) *setTrace {
 }
 
 // pulled installs the chain for one freshly pulled mirror: the upstream
-// hops decoded from the producer's trace block (empty on legacy peers)
-// plus this daemon's hop with its pull stamp. Every upstream stamp and the
-// local pull feed the span recorder as sample age (stamp minus the
-// sample's transaction-end time).
+// hops decoded from the producer's trace block (empty when its server has
+// no trace hook) plus this daemon's hop with its pull stamp. Every
+// upstream stamp and the local pull feed the span recorder as sample age
+// (stamp minus the sample's transaction-end time).
 func (tp *tracePlane) pulled(name string, wire []byte, sampleTs, now time.Time) {
 	role := tp.role()
 	ts := sampleTs.UnixNano()
@@ -83,7 +83,7 @@ func (tp *tracePlane) pulled(name string, wire []byte, sampleTs, now time.Time) 
 	if len(wire) > 0 {
 		up, err := tp.dec.Decode(wire, e.upstream)
 		if err != nil {
-			// A malformed block from a negotiated peer: count it and fall
+			// A malformed block from the peer: count it and fall
 			// back to an untraced chain rather than poisoning the recorder.
 			tp.decodeErrs.Add(1)
 			up = up[:0]
@@ -196,6 +196,6 @@ func (d *Daemon) Spans() []obs.SpanLatency { return d.trace.spans.Snapshot() }
 // Chains snapshots the hop chains of every set the daemon publishes.
 func (d *Daemon) Chains() []obs.ChainSnapshot { return d.trace.chains() }
 
-// TraceDecodeErrors counts malformed trace blocks received from negotiated
-// peers (each fell back to an untraced chain).
+// TraceDecodeErrors counts malformed trace blocks received from peers
+// (each fell back to an untraced chain).
 func (d *Daemon) TraceDecodeErrors() int64 { return d.trace.decodeErrs.Load() }

@@ -141,17 +141,17 @@ func TestTierTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestTierTraceLegacyPeer models a legacy leaf that never negotiated the
-// trace capability next to a traced one: the legacy set's chain restarts
-// at the aggregator (depth 1) while the traced set keeps its origin hop,
-// and nothing counts as a decode error.
+// TestTierTraceLegacyPeer models a leaf whose server has no trace hook
+// next to a traced one: the untraced set's chain restarts at the
+// aggregator (depth 1) while the traced set keeps its origin hop, and
+// nothing counts as a decode error.
 func TestTierTraceLegacyPeer(t *testing.T) {
 	sch := sched.NewVirtual(time.Unix(96000, 0))
 	net := transport.NewNetwork()
 	fac := transport.MemFactory{Net: net}
 
-	// Legacy peer: a bare transport server with no trace hook, the shape
-	// of a pre-trace ldmsd.
+	// Untraced peer: a bare transport server with no trace hook, so every
+	// update response carries an empty trace block.
 	legacyReg := leafRegistry(t, 1, 100, sch.Now())
 	if _, err := fac.Listen("legacy", transport.NewServer(legacyReg)); err != nil {
 		t.Fatal(err)

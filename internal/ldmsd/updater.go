@@ -135,7 +135,7 @@ type updSet struct {
 	bufDGN   uint64
 	bufValid bool
 	// trace is the producer's hop-chain block from the last pull (recycled
-	// capacity; length 0 on legacy peers and errors).
+	// capacity; length 0 when the server has no chain, and on errors).
 	trace []byte
 }
 
@@ -816,7 +816,7 @@ func (u *Updater) finishUpdate(us *updSet, n int, err error) bool {
 		now := u.d.sch.Now()
 		u.d.lat.Pull.Record(now.Sub(ts))
 		// Install the sample's hop chain: the producer's trace block (empty
-		// on legacy peers) plus this daemon's pull stamp.
+		// when its server has no trace hook) plus this daemon's pull stamp.
 		u.d.trace.pulled(us.regName, us.trace, ts, now)
 	}
 	// Mark the member fresh so the end-of-pass fold re-reduces its group:

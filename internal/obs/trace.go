@@ -12,8 +12,8 @@ import (
 // Cross-tier sample tracing: every daemon stamps a hop record — who it
 // is, its tier role, and the scheduler-clock times at which the sample
 // passed each pipeline stage — onto the samples it serves upward. The
-// chain of hop records rides the wire inside a capability-negotiated
-// trace block (see internal/transport), so a top-tier aggregator can
+// chain of hop records rides the wire inside the trace block that
+// prefixes every update response (see internal/transport), so a top-tier aggregator can
 // attribute a sample's end-to-end age hop by hop instead of only in
 // total. This file holds the hop record model, its wire codec, and the
 // span recorder that turns decoded hop stamps into per-(daemon, role,
@@ -135,8 +135,8 @@ func (h *HopRecord) Stages(f func(Stage, int64)) {
 // than the cap keep their most recent hops.
 const MaxTraceHops = 16
 
-// Trace block wire layout (all little-endian), appended to update
-// responses when both peers negotiated the trace capability:
+// Trace block wire layout (all little-endian), carried in front of every
+// update response payload:
 //
 //	u32 magic "TRC1"
 //	u8  hop count (<= MaxTraceHops)

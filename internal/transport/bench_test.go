@@ -16,9 +16,10 @@ import (
 // BenchmarkDeltaUpdate measures the headline number of the delta protocol:
 // wire bytes per pulled sample on a 256-set fan-in where one metric in 64
 // moves per sampling round — the steady-telemetry shape (mostly-idle
-// counters) the delta encoding is built for. The full sub-benchmark pulls
-// whole data chunks (a legacy pairing), the delta sub-benchmark acknowledges
-// each pull and receives only changed metrics. CI gates delta at >= 5x fewer
+// counters) the delta encoding is built for. The full sub-benchmark never
+// acknowledges a pull, so every request is a plain update answered with the
+// whole data chunk; the delta sub-benchmark acknowledges each pull and
+// receives only changed metrics. CI gates delta at >= 5x fewer
 // bytes per sample than full.
 //
 // Every metric is seeded with incompressible pseudorandom bits: real
@@ -72,7 +73,7 @@ func BenchmarkDeltaUpdate(b *testing.B) {
 		}
 		defer conn.Close()
 		ctx := context.Background()
-		if _, err := conn.Dir(ctx); err != nil { // negotiates capabilities
+		if _, err := conn.Dir(ctx); err != nil {
 			b.Fatal(err)
 		}
 		ops := make([]UpdateOp, 0, nsets)
@@ -129,7 +130,7 @@ func BenchmarkDeltaUpdate(b *testing.B) {
 		b.ReportMetric(float64(st.BytesIn-base.BytesIn)/float64(b.N*nsets), "B/sample")
 	}
 
-	b.Run("full", func(b *testing.B) { run(b, SockFactory{NoDelta: true}, false) })
+	b.Run("full", func(b *testing.B) { run(b, SockFactory{}, false) })
 	b.Run("delta", func(b *testing.B) { run(b, SockFactory{}, true) })
 }
 
@@ -137,32 +138,32 @@ func BenchmarkDeltaUpdate(b *testing.B) {
 // live producer connection fleet through it: every connection is a real TCP
 // dialer with its own registry, one sampled set each, pulled by the
 // accepting side every pass exactly as an aggregator pulls its producers
-// (dir-negotiated capabilities, acknowledged delta pulls, per-connection
-// stats). Reported metrics: conns (live connections actually driven),
-// pass-ms (wall time of one full fleet pull pass), p99-ms (worst per-pull
-// latency at the 99th percentile across passes).
+// (dir, lookup, acknowledged delta pulls, per-connection stats). Reported
+// metrics: conns (live connections actually driven), pass-ms (wall time of
+// one full fleet pull pass), p99-ms (worst per-pull latency at the 99th
+// percentile across passes).
 //
 // The flagship conns=10240 case is CI-gated: the run must reach the full
 // fleet size and hold the p99 pull latency bound. Environments whose
 // RLIMIT_NOFILE hard cap cannot cover two descriptors per connection are
 // sized down to what the kernel allows (and report the smaller conns
 // figure rather than failing). The buf sub-benchmarks pin the per-conn
-// bufio sizing the factory defaults to: at thousands of mostly-idle
+// bufio size every factory uses: at thousands of mostly-idle
 // connections, 4 KiB buffers hold footprint down with no pass-time cost —
 // memory, not throughput, is what caps a goroutine-per-conn fleet.
 func BenchmarkSockConnScale(b *testing.B) {
 	b.Run("conns=1024/buf=4KiB", func(b *testing.B) {
-		benchConnScale(b, 1024, SockFactory{})
+		benchConnScale(b, 1024, defaultSockCfg)
 	})
 	b.Run("conns=1024/buf=32KiB", func(b *testing.B) {
-		benchConnScale(b, 1024, SockFactory{ReadBuf: 32 << 10, WriteBuf: 32 << 10})
+		benchConnScale(b, 1024, sockCfg{rbuf: 32 << 10, wbuf: 32 << 10})
 	})
 	b.Run("conns=10240", func(b *testing.B) {
-		benchConnScale(b, 10240, SockFactory{})
+		benchConnScale(b, 10240, defaultSockCfg)
 	})
 }
 
-func benchConnScale(b *testing.B, want int, f SockFactory) {
+func benchConnScale(b *testing.B, want int, cfg sockCfg) {
 	limit := raiseFDLimit()
 	conns := want
 	// Two descriptors per loopback connection plus headroom for the
@@ -177,9 +178,9 @@ func benchConnScale(b *testing.B, want int, f SockFactory) {
 		conn Conn
 	}
 	peerCh := make(chan peer, conns)
-	ln, err := f.ListenPeer("127.0.0.1:0", NewServer(metric.NewRegistry()), func(name string, conn Conn) {
+	ln, err := listenTCP("127.0.0.1:0", NewServer(metric.NewRegistry()), func(name string, conn Conn) {
 		peerCh <- peer{name, conn}
-	})
+	}, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func benchConnScale(b *testing.B, want int, f SockFactory) {
 					dialErr <- err
 					return
 				}
-				conn, err := f.DialNamed(ln.Addr(), fmt.Sprintf("p%05d", i), NewServer(preg))
+				conn, err := dialTCP(ln.Addr(), fmt.Sprintf("p%05d", i), NewServer(preg), cfg)
 				if err != nil {
 					dialErr <- err
 					return
@@ -264,8 +265,7 @@ func benchConnScale(b *testing.B, want int, f SockFactory) {
 		}
 	}
 
-	// Aggregator setup on every peer connection: capability negotiation via
-	// dir, then the one lookup. Parallel — each is an independent round trip.
+	// Aggregator setup on every peer connection: dir, then the one lookup. Parallel — each is an independent round trip.
 	ctx := context.Background()
 	ops := make([]UpdateOp, conns)
 	mirrors := make([]*metric.Set, conns)

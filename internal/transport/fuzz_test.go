@@ -40,9 +40,9 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDelta drives every decoder that consumes peer-controlled update
-// and directory payloads: delta application against a live schema,
-// dictionary-coded directory responses, and compressed-frame inflation.
+// FuzzDecodeDelta drives the decoders that consume peer-controlled update
+// payloads: delta application against a live schema and compressed-frame
+// inflation.
 // Hostile input must error — never panic, never write outside the chunk.
 func FuzzDecodeDelta(f *testing.F) {
 	sch := metric.NewSchema("fuzz")
@@ -83,8 +83,6 @@ func FuzzDecodeDelta(f *testing.F) {
 				t.Fatalf("applied delta produced unloadable chunk: %v", lerr)
 			}
 		}
-		var rd recvDict
-		decodeDirDictResp(data, &rd) // must not panic
 		maybeInflate(msgDirResp|compressFlag, data)
 	})
 }

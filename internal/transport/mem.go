@@ -35,13 +35,10 @@ type MemFactory struct {
 	// batch, however many ops it carries — "update_batch". Tests use it to
 	// model round-trip latency or to stall a chosen peer.
 	Delay func(addr, op string)
-	// NoDelta disables the delta update path, modeling a legacy peer:
-	// batched ops always move full chunks regardless of acknowledged DGNs.
+	// NoDelta makes batched ops move full chunks regardless of
+	// acknowledged DGNs: the full-chunk reference that
+	// TestVirtualRunDeltaEquivalence compares the delta path against.
 	NoDelta bool
-	// NoTrace disables the trace-block path, modeling a legacy peer that
-	// never negotiated the trace capability: batched ops complete with
-	// empty Trace and the pulling daemon sees only its own hop.
-	NoTrace bool
 }
 
 // Name returns the transport kind.
@@ -93,7 +90,7 @@ func (f MemFactory) Dial(addr string) (Conn, error) {
 	if l == nil {
 		return nil, fmt.Errorf("transport: mem dial %q: connection refused", addr)
 	}
-	return &memConn{l: l, addr: addr, delay: f.Delay, noDelta: f.NoDelta, noTrace: f.NoTrace}, nil
+	return &memConn{l: l, addr: addr, delay: f.Delay, noDelta: f.NoDelta}, nil
 }
 
 // memListener is a bound in-process address.
@@ -132,7 +129,6 @@ type memConn struct {
 	addr    string
 	delay   func(addr, op string)
 	noDelta bool
-	noTrace bool
 	mu      sync.Mutex
 	closed  bool
 
@@ -306,7 +302,7 @@ func (c *memConn) UpdateBatch(ctx context.Context, ops []UpdateOp) {
 	// Trace blocks move exactly as on the sock transport — the server's
 	// Trace hook encodes the real TRC1 bytes, counted at their framed wire
 	// cost — so virtual-clock runs exercise the genuine codec.
-	traceOn := !c.noTrace && c.l.srv.Trace != nil
+	traceOn := c.l.srv.Trace != nil
 	var bytesIn, bytesOut, done, deltas int64
 	for i := range ops {
 		rs := ops[i].Set.(*memRemoteSet)

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -281,7 +282,7 @@ func TestSockDeltaUpdates(t *testing.T) {
 	}
 	defer conn.Close()
 	ctx := context.Background()
-	if _, err := conn.Dir(ctx); err != nil { // negotiates capabilities
+	if _, err := conn.Dir(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -338,7 +339,7 @@ func TestSockDeltaUpdates(t *testing.T) {
 
 // TestSockDeltaBytesPerSample verifies the wire saving the delta path
 // exists for: steady-state acknowledged pulls of a wide set move far fewer
-// bytes per sample than full-chunk pulls of the same set.
+// bytes per sample than unacknowledged (full-chunk) pulls of the same set.
 func TestSockDeltaBytesPerSample(t *testing.T) {
 	sch := metric.NewSchema("wide")
 	for i := 0; i < 64; i++ {
@@ -369,13 +370,13 @@ func TestSockDeltaBytesPerSample(t *testing.T) {
 	}
 	tick(1)
 
-	pull := func(f SockFactory, ack bool) (perSample float64, deltas int64) {
-		ln, err := f.Listen("127.0.0.1:0", NewServer(reg))
+	pull := func(ack bool) (perSample float64, deltas int64) {
+		ln, err := SockFactory{}.Listen("127.0.0.1:0", NewServer(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		conn, err := f.Dial(ln.Addr())
+		conn, err := SockFactory{}.Dial(ln.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,10 +411,10 @@ func TestSockDeltaBytesPerSample(t *testing.T) {
 		return float64(st.BytesIn-base.BytesIn) / rounds, st.DeltaUpdates
 	}
 
-	full, fdeltas := pull(SockFactory{NoDelta: true}, false)
-	delta, ddeltas := pull(SockFactory{}, true)
+	full, fdeltas := pull(false)
+	delta, ddeltas := pull(true)
 	if fdeltas != 0 {
-		t.Fatalf("NoDelta factory produced %d deltas", fdeltas)
+		t.Fatalf("unacknowledged pulls produced %d deltas", fdeltas)
 	}
 	if ddeltas == 0 {
 		t.Fatal("acknowledged pulls produced no deltas")
@@ -423,65 +424,9 @@ func TestSockDeltaBytesPerSample(t *testing.T) {
 	}
 }
 
-// TestSockDictionaryNames checks dictionary-coded directory traffic: after
-// the first dir response defines each name, the client's receive dictionary
-// resolves ids, lookups go over the wire by id, and a repeat dir moves
-// fewer bytes than the defining one.
-func TestSockDictionaryNames(t *testing.T) {
-	reg := newTestRegistry(t, 6)
-	ln, err := SockFactory{}.Listen("127.0.0.1:0", NewServer(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	conn, err := SockFactory{}.Dial(ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	ctx := context.Background()
-
-	names, err := conn.Dir(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 6 {
-		t.Fatalf("dir = %v", names)
-	}
-	sc := conn.(*sockConn)
-	st1, _ := StatsOf(conn)
-	sc.dmu.Lock()
-	ids := len(sc.rdict.ids)
-	sc.dmu.Unlock()
-	if ids != 6 {
-		t.Fatalf("receive dictionary holds %d ids, want 6", ids)
-	}
-
-	// Repeat dir: every name is now a 5-byte reference instead of a
-	// definition carrying the string.
-	if _, err := conn.Dir(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st2, _ := StatsOf(conn)
-	if grew, first := st2.BytesIn-st1.BytesIn, st1.BytesIn; grew >= first {
-		t.Errorf("referencing dir response (%d B) not smaller than defining one (%d B)", grew, first)
-	}
-
-	// Lookups resolve through the dictionary (the request is a 4-byte id).
-	for _, n := range names {
-		rs, err := conn.Lookup(ctx, n)
-		if err != nil {
-			t.Fatalf("dictionary lookup %s: %v", n, err)
-		}
-		if rs.Meta().Instance != n {
-			t.Errorf("lookup %s resolved to %s", n, rs.Meta().Instance)
-		}
-	}
-}
-
-// TestSockCompressionSavesBytes compares the same large directory exchange
-// with and without the compression capability: the compressed connection
-// must move fewer bytes and still decode identically.
+// TestSockCompressionSavesBytes checks that a large, repetitive directory
+// response goes over the wire deflated: the frame received must be smaller
+// than the raw encoded frame and still decode to the same names.
 func TestSockCompressionSavesBytes(t *testing.T) {
 	reg := metric.NewRegistry()
 	for i := 0; i < 40; i++ {
@@ -495,50 +440,7 @@ func TestSockCompressionSavesBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dirBytes := func(f SockFactory) int64 {
-		ln, err := f.Listen("127.0.0.1:0", NewServer(reg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		conn, err := f.Dial(ln.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		// First dir negotiates caps but pre-dates them on the wire; the
-		// second exercises the negotiated compression.
-		if _, err := conn.Dir(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		st1, _ := StatsOf(conn)
-		names, err := conn.Dir(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(names) != 40 {
-			t.Fatalf("dir = %d names", len(names))
-		}
-		st2, _ := StatsOf(conn)
-		return st2.BytesIn - st1.BytesIn
-	}
-	// NoDict isolates compression: dictionary refs would shrink the repeat
-	// response on their own.
-	plain := dirBytes(SockFactory{NoCompress: true, NoDict: true})
-	packed := dirBytes(SockFactory{NoDict: true})
-	if packed >= plain {
-		t.Errorf("compressed dir moved %d B, uncompressed %d B", packed, plain)
-	}
-}
-
-// TestSockLegacyServerFallback peers a fully capable client with a legacy
-// (no-capability) server: everything must keep working over the plain
-// protocol — full updates despite acknowledged DGNs, un-dictionaried names,
-// no compression.
-func TestSockLegacyServerFallback(t *testing.T) {
-	reg := newTestRegistry(t, 3)
-	srv := NewServer(reg)
-	ln, err := SockFactory{Legacy: true}.Listen("127.0.0.1:0", srv)
+	ln, err := SockFactory{}.Listen("127.0.0.1:0", NewServer(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,113 +450,19 @@ func TestSockLegacyServerFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	ctx := context.Background()
-
-	names, err := conn.Dir(ctx)
+	names, err := conn.Dir(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 3 {
-		t.Fatalf("dir over legacy peer = %v", names)
+	if want := reg.Dir(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("dir = %v, want %v", names, want)
 	}
-	if got := conn.(*sockConn).peerCaps.Load(); got != 0 {
-		t.Fatalf("legacy server advertised caps %#x", got)
-	}
-
-	ops := lookupAll(t, conn, names)
-	UpdateAll(ctx, conn, ops)
-	checkOps(t, ops)
-	for i := range ops {
-		ops[i].AckDGN, ops[i].HaveAck = readDGN(t, ops[i]), true
-		ops[i].N, ops[i].Err = 0, nil
-	}
-	UpdateAll(ctx, conn, ops)
-	checkOps(t, ops)
-	for i := range ops {
-		if ops[i].WasDelta {
-			t.Errorf("op %d: delta from a legacy server", i)
-		}
-	}
-	if st, _ := StatsOf(conn); st.DeltaUpdates != 0 {
-		t.Errorf("delta updates against legacy server = %d", st.DeltaUpdates)
-	}
-	if got := srv.Stats().DeltaUpdates; got != 0 {
-		t.Errorf("legacy server served %d deltas", got)
-	}
-}
-
-// TestSockLegacyClientFallback is the inverse pairing: an old client against
-// a new server. The server must answer with the plain protocol (the legacy
-// client never offered capabilities) and the client must remain oblivious
-// to the capability trailer on dir responses.
-func TestSockLegacyClientFallback(t *testing.T) {
-	reg := newTestRegistry(t, 3)
-	srv := NewServer(reg)
-	ln, err := SockFactory{}.Listen("127.0.0.1:0", srv)
+	raw, err := encodeDirResp(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	conn, err := SockFactory{Legacy: true}.Dial(ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	ctx := context.Background()
-
-	names, err := conn.Dir(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 3 {
-		t.Fatalf("legacy dir against new server = %v", names)
-	}
-	ops := lookupAll(t, conn, names)
-	UpdateAll(ctx, conn, ops)
-	checkOps(t, ops)
-	// Even a (buggy) caller setting acks on a legacy connection gets full
-	// chunks: the client never negotiated the capability.
-	for i := range ops {
-		ops[i].AckDGN, ops[i].HaveAck = readDGN(t, ops[i]), true
-		ops[i].N, ops[i].Err = 0, nil
-	}
-	UpdateAll(ctx, conn, ops)
-	checkOps(t, ops)
-	for i := range ops {
-		if ops[i].WasDelta {
-			t.Errorf("op %d: delta on a legacy client", i)
-		}
-	}
-	if got := srv.Stats().DeltaUpdates; got != 0 {
-		t.Errorf("server served %d deltas to a legacy client", got)
-	}
-}
-
-// TestMemLegacyPeerFallback covers the mem transport's model of an old
-// peer: NoDelta connections ignore acknowledged DGNs and always move full
-// chunks, so mixed-version simulations behave like mixed-version daemons.
-func TestMemLegacyPeerFallback(t *testing.T) {
-	reg := newTestRegistry(t, 3)
-	fac := MemFactory{Net: NewNetwork(), NoDelta: true}
-	if _, err := fac.Listen("node", NewServer(reg)); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := fac.Dial("node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := lookupAll(t, conn, reg.Dir())
-	for i := range ops {
-		ops[i].HaveAck = true // would be a delta on a capable connection
-	}
-	UpdateAll(context.Background(), conn, ops)
-	checkOps(t, ops)
-	for i := range ops {
-		if ops[i].WasDelta {
-			t.Errorf("op %d: NoDelta mem conn produced a delta", i)
-		}
-	}
-	if st, _ := StatsOf(conn); st.DeltaUpdates != 0 {
-		t.Errorf("NoDelta mem conn counted %d delta updates", st.DeltaUpdates)
+	st, _ := StatsOf(conn)
+	if plain := int64(frameHeader + len(raw)); st.BytesIn >= plain {
+		t.Errorf("compressed dir moved %d B, uncompressed frame is %d B", st.BytesIn, plain)
 	}
 }

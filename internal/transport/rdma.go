@@ -40,19 +40,19 @@ func (f RDMAFactory) Listen(addr string, srv *Server) (Listener, error) {
 		return nil, fmt.Errorf("transport: unknown RDMA kind %q", k)
 	}
 	srv.OneSided = true
-	return listenTCP(addr, srv, nil, SockFactory{}.cfg())
+	return listenTCP(addr, srv, nil, defaultSockCfg)
 }
 
 // ListenPeer serves srv with one-sided semantics and reports dialing peers
 // that announce themselves via DialNamed.
 func (f RDMAFactory) ListenPeer(addr string, srv *Server, onPeer func(name string, conn Conn)) (Listener, error) {
 	srv.OneSided = true
-	return listenTCP(addr, srv, onPeer, SockFactory{}.cfg())
+	return listenTCP(addr, srv, onPeer, defaultSockCfg)
 }
 
 // Dial connects to a peer serving the rdma/ugni transport.
 func (f RDMAFactory) Dial(addr string) (Conn, error) {
-	return dialTCP(addr, "", nil, SockFactory{}.cfg())
+	return dialTCP(addr, "", nil, defaultSockCfg)
 }
 
 // DialNamed connects, announces name, and serves srv over the same
@@ -61,5 +61,5 @@ func (f RDMAFactory) DialNamed(addr, name string, srv *Server) (Conn, error) {
 	if srv != nil {
 		srv.OneSided = true
 	}
-	return dialTCP(addr, name, srv, SockFactory{}.cfg())
+	return dialTCP(addr, name, srv, defaultSockCfg)
 }

@@ -19,8 +19,7 @@ type Server struct {
 
 	// Trace, when non-nil, appends the owning daemon's current hop chain
 	// for set (an obs.AppendHops trace block) to dst and returns the
-	// extended slice. Wired by ldmsd; consulted only on connections that
-	// negotiated the trace capability.
+	// extended slice. Wired by ldmsd; consulted on every data pull.
 	Trace func(set *metric.Set, dst []byte) []byte
 
 	dirs         atomic.Int64
@@ -104,7 +103,7 @@ func (s *Server) serveLookup(name string) (*metric.Set, []byte, error) {
 // appendTraceFor writes a u16-length-prefixed trace block for set onto b:
 // a reserved length slot, the Trace hook's bytes (zero-length when no hook
 // is wired or the daemon has no chain for the set), then the patched
-// length. Callers append the legacy payload immediately after.
+// length. Callers append the update payload immediately after.
 func (s *Server) appendTraceFor(b []byte, set *metric.Set) []byte {
 	at := len(b)
 	b = append(b, 0, 0)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"goldms/internal/metric"
 )
@@ -25,74 +24,26 @@ import (
 // netpoller (which is itself a shared epoll/kqueue event loop multiplexing
 // every blocked read onto a handful of threads), so the per-connection
 // cost is one goroutine stack plus the two bufio buffers. Those buffers
-// are the knob that matters at 10k connections — ReadBuf/WriteBuf size
-// them per factory (BenchmarkSockConnScale compares tunings), and the
-// default is deliberately small because aggregation traffic is dominated
-// by sub-kB delta frames.
+// are the knob that matters at 10k connections, and they are deliberately
+// small because aggregation traffic is dominated by sub-kB delta frames
+// (BenchmarkSockConnScale compares 4 KiB against 32 KiB).
 
-// sockDefaultBuf is the default bufio size per direction. 4 KiB holds any
-// delta frame and the typical data chunk while keeping 10k connections
-// under ~80 MB of buffer memory.
-const sockDefaultBuf = 4 << 10
+// sockBuf is the bufio size per direction. 4 KiB holds any delta frame and
+// the typical data chunk while keeping 10k connections under ~80 MB of
+// buffer memory.
+const sockBuf = 4 << 10
+
+// sockCfg sizes one connection's bufio buffers.
+type sockCfg struct{ rbuf, wbuf int }
+
+// defaultSockCfg is what every factory's connections use.
+var defaultSockCfg = sockCfg{rbuf: sockBuf, wbuf: sockBuf}
 
 // SockFactory implements the sock transport: the paper's TCP socket
-// transport plugin. The zero value speaks the full protocol (delta
-// updates, dictionaries, compression) with capability-aware peers and
-// plain LDMS wire protocol with everything else.
-type SockFactory struct {
-	// Legacy advertises no capabilities at all, making connections
-	// byte-identical to pre-capability builds. Mixed-version tests use it
-	// to stand in for an old peer.
-	Legacy bool
-	// NoDelta / NoDict / NoCompress / NoTrace mask individual capabilities.
-	NoDelta    bool
-	NoDict     bool
-	NoCompress bool
-	NoTrace    bool
-	// ReadBuf / WriteBuf size the per-connection bufio buffers; 0 means
-	// sockDefaultBuf.
-	ReadBuf  int
-	WriteBuf int
-}
-
-// caps returns the capability bits this factory's connections advertise.
-func (sf SockFactory) caps() uint32 {
-	if sf.Legacy {
-		return 0
-	}
-	c := uint32(capsAll)
-	if sf.NoDelta {
-		c &^= capDelta
-	}
-	if sf.NoDict {
-		c &^= capDict
-	}
-	if sf.NoCompress {
-		c &^= capCompress
-	}
-	if sf.NoTrace {
-		c &^= capTrace
-	}
-	return c
-}
-
-// cfg resolves the factory's connection configuration.
-func (sf SockFactory) cfg() sockCfg {
-	rb, wb := sf.ReadBuf, sf.WriteBuf
-	if rb <= 0 {
-		rb = sockDefaultBuf
-	}
-	if wb <= 0 {
-		wb = sockDefaultBuf
-	}
-	return sockCfg{caps: sf.caps(), rbuf: rb, wbuf: wb}
-}
-
-// sockCfg is the per-connection configuration resolved from a factory.
-type sockCfg struct {
-	caps       uint32
-	rbuf, wbuf int
-}
+// transport plugin. Every connection speaks the one wire protocol: delta
+// updates, trace-prefixed update responses and deflate on frames it
+// shrinks (docs/PROTOCOL.md).
+type SockFactory struct{}
 
 // Name returns "sock".
 func (SockFactory) Name() string { return "sock" }
@@ -101,26 +52,26 @@ func (SockFactory) Name() string { return "sock" }
 func (SockFactory) MaxFanIn() int { return 9000 }
 
 // Listen serves srv on a TCP address such as "127.0.0.1:0".
-func (sf SockFactory) Listen(addr string, srv *Server) (Listener, error) {
-	return listenTCP(addr, srv, nil, sf.cfg())
+func (SockFactory) Listen(addr string, srv *Server) (Listener, error) {
+	return listenTCP(addr, srv, nil, defaultSockCfg)
 }
 
 // ListenPeer serves srv and additionally reports each dialing peer that
 // announces itself (via DialNamed) so the listener side can pull from it.
-func (sf SockFactory) ListenPeer(addr string, srv *Server, onPeer func(name string, conn Conn)) (Listener, error) {
-	return listenTCP(addr, srv, onPeer, sf.cfg())
+func (SockFactory) ListenPeer(addr string, srv *Server, onPeer func(name string, conn Conn)) (Listener, error) {
+	return listenTCP(addr, srv, onPeer, defaultSockCfg)
 }
 
 // Dial connects to a TCP peer for pulling.
-func (sf SockFactory) Dial(addr string) (Conn, error) {
-	return dialTCP(addr, "", nil, sf.cfg())
+func (SockFactory) Dial(addr string) (Conn, error) {
+	return dialTCP(addr, "", nil, defaultSockCfg)
 }
 
 // DialNamed connects to a TCP peer, announces name, and serves srv (which
 // may be nil) over the same connection, so the remote side can pull from
 // the dialer.
-func (sf SockFactory) DialNamed(addr, name string, srv *Server) (Conn, error) {
-	return dialTCP(addr, name, srv, sf.cfg())
+func (SockFactory) DialNamed(addr, name string, srv *Server) (Conn, error) {
+	return dialTCP(addr, name, srv, defaultSockCfg)
 }
 
 // sockListener accepts TCP connections and runs a peer per connection.
@@ -201,22 +152,8 @@ type sockConn struct {
 	// wmu, so pipelined batches write frames without per-frame allocation.
 	scratch []byte
 	// defl compresses outgoing frames; guarded by wmu.
-	defl frameDeflater
-
-	// Capabilities: localCaps is what this side offers (fixed at dial or
-	// accept); peerCaps is learned from the peer's first dir exchange in
-	// either direction and stays zero for legacy peers, which disables
-	// every extension transparently.
-	localCaps uint32
-	rbufSize  int
-	peerCaps  atomic.Uint32
-
-	// Dictionaries. sdict backs our serving half (touched only by the
-	// readLoop goroutine); rdict mirrors the peer's serving dictionary and
-	// is shared by requesting goroutines, hence the lock.
-	sdict sendDict
-	dmu   sync.Mutex
-	rdict recvDict
+	defl     frameDeflater
+	rbufSize int
 
 	// Client half. Each registered request ID reserves exactly one
 	// buffered slot in its response channel, so readLoop and fail deliver
@@ -263,12 +200,11 @@ var (
 
 func newSockConn(c net.Conn, srv *Server, cfg sockCfg) *sockConn {
 	return &sockConn{
-		c:         c,
-		w:         bufio.NewWriterSize(c, cfg.wbuf),
-		localCaps: cfg.caps,
-		rbufSize:  cfg.rbuf,
-		wait:      make(map[uint64]chan sockResp),
-		srv:       srv,
+		c:        c,
+		w:        bufio.NewWriterSize(c, cfg.wbuf),
+		rbufSize: cfg.rbuf,
+		wait:     make(map[uint64]chan sockResp),
+		srv:      srv,
 	}
 }
 
@@ -293,39 +229,15 @@ func dialTCP(addr, name string, srv *Server, cfg sockCfg) (Conn, error) {
 	return sc, nil
 }
 
-// compressEnabled reports whether outgoing frames may be compressed.
-func (sc *sockConn) compressEnabled() bool {
-	return sc.localCaps&capCompress != 0 && sc.peerCaps.Load()&capCompress != 0
-}
-
-// deltaEnabled reports whether the peer serves delta update requests.
-func (sc *sockConn) deltaEnabled() bool {
-	return sc.localCaps&capDelta != 0 && sc.peerCaps.Load()&capDelta != 0
-}
-
-// dictEnabled reports whether dictionary-coded dir/lookup traffic is on.
-func (sc *sockConn) dictEnabled() bool {
-	return sc.localCaps&capDict != 0 && sc.peerCaps.Load()&capDict != 0
-}
-
-// traceEnabled reports whether update responses carry a trace-block
-// prefix. Both sides compute it from the same negotiated pair, so the
-// serving half prefixes exactly when the pulling half splits.
-func (sc *sockConn) traceEnabled() bool {
-	return sc.localCaps&capTrace != 0 && sc.peerCaps.Load()&capTrace != 0
-}
-
 // send writes one frame under the write lock and flushes, compressing the
-// payload when the capability is negotiated and compression wins.
+// payload when compression wins.
 func (sc *sockConn) send(typ byte, id uint64, payload []byte) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
 	out := payload
-	if sc.compressEnabled() {
-		if cp, ok := sc.defl.compress(payload); ok {
-			typ |= compressFlag
-			out = cp
-		}
+	if cp, ok := sc.defl.compress(payload); ok {
+		typ |= compressFlag
+		out = cp
 	}
 	if err := writeFrame(sc.w, typ, id, out); err != nil {
 		return err
@@ -353,7 +265,7 @@ func (sc *sockConn) readLoop() {
 		}
 		switch typ {
 		case msgDirReq, msgLookupReq, msgUpdateReq, msgHello, msgDirGenReq,
-			msgDeltaUpdateReq, msgLookupDictReq:
+			msgDeltaUpdateReq:
 			err := sc.serveRequest(typ, id, payload)
 			putBuf(payload)
 			if err != nil {
@@ -419,42 +331,17 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 	}
 	switch typ {
 	case msgDirReq:
-		// A capability-aware requester sends its caps block as the payload;
-		// legacy requesters send none and get the legacy response shape.
-		caps, _ := parseCaps(payload, 0)
-		sc.peerCaps.Store(caps)
-		names := sc.srv.serveDir()
-		if caps&capDict != 0 && sc.localCaps&capDict != 0 {
-			b, err := encodeDirDictResp(names, &sc.sdict, sc.localCaps)
-			if err != nil {
-				return replyErr(err.Error())
-			}
-			return sc.send(msgDirDictResp, id, b)
-		}
-		b, err := encodeDirResp(names, sc.localCaps)
+		b, err := encodeDirResp(sc.srv.serveDir())
 		if err != nil {
 			return replyErr(err.Error())
 		}
 		return sc.send(msgDirResp, id, b)
 	case msgDirGenReq:
 		return sc.send(msgDirGenResp, id, wireLE.AppendUint64(nil, sc.srv.serveDirGen()))
-	case msgLookupReq, msgLookupDictReq:
-		var name string
-		if typ == msgLookupDictReq {
-			if len(payload) < 4 {
-				return replyErr("transport: short dict lookup request")
-			}
-			n, ok := sc.sdict.name(wireLE.Uint32(payload))
-			if !ok {
-				return replyErr("transport: unknown dictionary id")
-			}
-			name = n
-		} else {
-			n, _, err := readString(payload, 0)
-			if err != nil {
-				return replyErr(err.Error())
-			}
-			name = n
+	case msgLookupReq:
+		name, _, err := readString(payload, 0)
+		if err != nil {
+			return replyErr(err.Error())
 		}
 		set, meta, err := sc.srv.serveLookup(name)
 		if err != nil {
@@ -463,7 +350,11 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 		resp := wireLE.AppendUint32(nil, sc.registerHandle(set))
 		resp = append(resp, meta...)
 		return sc.send(msgLookupResp, id, resp)
-	case msgUpdateReq:
+	case msgUpdateReq, msgDeltaUpdateReq:
+		delta := typ == msgDeltaUpdateReq
+		if delta && len(payload) < 12 {
+			return replyErr("transport: short delta update request")
+		}
 		if len(payload) < 4 {
 			return replyErr("transport: short update request")
 		}
@@ -471,48 +362,22 @@ func (sc *sockConn) serveRequest(typ byte, id uint64, payload []byte) error {
 		if !ok {
 			return replyErr("transport: unknown set handle")
 		}
-		ds := set.DataSize()
-		if !sc.traceEnabled() {
-			buf := getBuf(ds)
-			n := sc.srv.serveUpdate(set, buf)
-			err := sc.send(msgUpdateResp, id, buf[:n])
-			putBuf(buf)
-			return err
-		}
-		// Trace-prefixed shape: u16 length | trace block | data chunk.
-		buf := getBuf(traceLenPrefix + traceSlack + ds)
+		// u16 length | trace block | data chunk or delta payload. Slack
+		// beyond DataSize covers the delta kind byte and header on sets
+		// smaller than it, so serveUpdateDelta never reallocates.
+		room := 1 + set.DataSize() + 64
+		buf := getBuf(traceLenPrefix + traceSlack + room)
 		b := sc.srv.appendTraceFor(buf[:0], set)
 		off := len(b)
-		b = growTo(b, off+ds)
-		n := sc.srv.serveUpdate(set, b[off:])
-		err := sc.send(msgUpdateResp, id, b[:off+n])
-		putBuf(b)
-		return err
-	case msgDeltaUpdateReq:
-		if len(payload) < 12 {
-			return replyErr("transport: short delta update request")
+		b = growTo(b, off+room)
+		resp, n := byte(msgUpdateResp), 0
+		if delta {
+			resp = msgDeltaUpdateResp
+			n = len(sc.srv.serveUpdateDelta(set, wireLE.Uint64(payload[4:]), b[off:]))
+		} else {
+			n = sc.srv.serveUpdate(set, b[off:])
 		}
-		set, ok := sc.handleFor(payload)
-		if !ok {
-			return replyErr("transport: unknown set handle")
-		}
-		since := wireLE.Uint64(payload[4:])
-		ds := set.DataSize()
-		if !sc.traceEnabled() {
-			// Slack beyond DataSize covers the delta header on sets smaller
-			// than it, so serveUpdateDelta never reallocates.
-			buf := getBuf(1 + ds + 64)
-			out := sc.srv.serveUpdateDelta(set, since, buf)
-			err := sc.send(msgDeltaUpdateResp, id, out)
-			putBuf(buf)
-			return err
-		}
-		buf := getBuf(traceLenPrefix + traceSlack + 1 + ds + 64)
-		b := sc.srv.appendTraceFor(buf[:0], set)
-		off := len(b)
-		b = growTo(b, off+1+ds+64)
-		out := sc.srv.serveUpdateDelta(set, since, b[off:])
-		err := sc.send(msgDeltaUpdateResp, id, b[:off+len(out)])
+		err := sc.send(resp, id, b[:off+n])
 		putBuf(b)
 		return err
 	}
@@ -580,8 +445,13 @@ func respError(payload []byte) error {
 	return fmt.Errorf("transport: remote error: %s", msg)
 }
 
-// roundTrip sends a request frame and waits for its response.
+// roundTrip sends a request frame and waits for its response. A context
+// already done sends nothing: once the request is out, a fast response and
+// the cancellation race in the select below.
 func (sc *sockConn) roundTrip(ctx context.Context, typ byte, payload []byte) (sockResp, error) {
+	if err := ctx.Err(); err != nil {
+		return sockResp{}, err
+	}
 	ch := make(chan sockResp, 1)
 	id, err := sc.register(1, ch)
 	if err != nil {
@@ -606,34 +476,15 @@ func (sc *sockConn) roundTrip(ctx context.Context, typ byte, payload []byte) (so
 	}
 }
 
-// Dir implements Conn. A capability-aware connection carries its caps
-// block in the request and learns the peer's from the response, so both
-// sides finish the first dir exchange knowing exactly which protocol
-// extensions are safe on this connection.
+// Dir implements Conn.
 func (sc *sockConn) Dir(ctx context.Context) ([]string, error) {
-	var req []byte
-	if sc.localCaps != 0 {
-		req = appendCaps(nil, sc.localCaps)
-	}
-	resp, err := sc.roundTrip(ctx, msgDirReq, req)
+	resp, err := sc.roundTrip(ctx, msgDirReq, nil)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	var caps uint32
-	if resp.typ == msgDirDictResp {
-		sc.dmu.Lock()
-		names, caps, err = decodeDirDictResp(resp.payload, &sc.rdict)
-		sc.dmu.Unlock()
-	} else {
-		names, caps, err = decodeDirResp(resp.payload)
-	}
+	names, err := decodeDirResp(resp.payload)
 	putBuf(resp.payload)
-	if err != nil {
-		return nil, err
-	}
-	sc.peerCaps.Store(caps)
-	return names, nil
+	return names, err
 }
 
 // DirGen implements DirGenConn: one small round trip for the remote
@@ -652,27 +503,13 @@ func (sc *sockConn) DirGen(ctx context.Context) (uint64, error) {
 	return gen, nil
 }
 
-// Lookup implements Conn. Names the peer's dictionary already defined go
-// over the wire as a bare u32 id.
+// Lookup implements Conn.
 func (sc *sockConn) Lookup(ctx context.Context, name string) (RemoteSet, error) {
-	typ := byte(msgLookupReq)
-	var req []byte
-	if sc.dictEnabled() {
-		sc.dmu.Lock()
-		id, ok := sc.rdict.ids[name]
-		sc.dmu.Unlock()
-		if ok {
-			typ = msgLookupDictReq
-			req = wireLE.AppendUint32(nil, id)
-		}
+	req, err := appendString(nil, name)
+	if err != nil {
+		return nil, err
 	}
-	if req == nil {
-		var err error
-		if req, err = appendString(nil, name); err != nil {
-			return nil, err
-		}
-	}
-	resp, err := sc.roundTrip(ctx, typ, req)
+	resp, err := sc.roundTrip(ctx, msgLookupReq, req)
 	if err != nil {
 		return nil, err
 	}
@@ -704,10 +541,9 @@ func (sc *sockConn) Close() error {
 // own traffic on this symmetric connection) are awaited together. An
 // error frame for one op is recorded on that op alone.
 //
-// Ops that carry an acknowledged base DGN become delta update requests
-// when the peer negotiated the capability; the server's response is
-// either a delta patched into Dst or a full chunk (its fallback), and a
-// legacy peer simply never negotiates, leaving every op a full update.
+// Ops that carry an acknowledged base DGN become delta update requests;
+// the server's response is either a delta patched into Dst or a full chunk
+// (its fallback). Ops without one are plain full-chunk update requests.
 func (sc *sockConn) UpdateBatch(ctx context.Context, ops []UpdateOp) {
 	if len(ops) == 0 {
 		return
@@ -732,14 +568,13 @@ func (sc *sockConn) UpdateBatch(ctx context.Context, ops []UpdateOp) {
 	for i := range ops {
 		ops[i].N, ops[i].Err, ops[i].WasDelta = 0, errUnresolved, false
 	}
-	useDelta := sc.deltaEnabled()
 
 	sc.wmu.Lock()
 	var werr error
 	for i, rs := range sets {
 		typ := byte(msgUpdateReq)
 		sc.scratch = wireLE.AppendUint32(sc.scratch[:0], rs.handle)
-		if useDelta && ops[i].HaveAck {
+		if ops[i].HaveAck {
 			typ = msgDeltaUpdateReq
 			sc.scratch = wireLE.AppendUint64(sc.scratch, ops[i].AckDGN)
 		}
@@ -793,12 +628,12 @@ func (sc *sockConn) resolveOp(ops []UpdateOp, first uint64, r sockResp) bool {
 		putBuf(r.payload)
 		return false
 	}
-	// Data-bearing responses on a trace-negotiated connection carry a
-	// trace-block prefix; peel it into the op before legacy decoding. The
-	// trace bytes are copied out because r.payload is recycled below.
+	// Data-bearing responses carry a trace-block prefix; peel it into the
+	// op before decoding the rest. The trace bytes are copied out because
+	// r.payload is recycled below.
 	ops[i].Trace = ops[i].Trace[:0]
 	payload := r.payload
-	if r.err == nil && r.typ != msgErrResp && sc.traceEnabled() {
+	if r.err == nil && r.typ != msgErrResp {
 		trace, rest, err := splitTracePrefix(payload)
 		if err != nil {
 			ops[i].Err = err
@@ -894,16 +729,12 @@ func (rs *sockRemoteSet) Update(ctx context.Context, dst []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	payload := resp.payload
-	if rs.conn.traceEnabled() {
-		// Single round trips have no op to carry the trace into; peel the
-		// prefix and discard it.
-		_, rest, err := splitTracePrefix(payload)
-		if err != nil {
-			putBuf(resp.payload)
-			return 0, err
-		}
-		payload = rest
+	// Single round trips have no op to carry the trace into; peel the
+	// prefix and discard it.
+	_, payload, err := splitTracePrefix(resp.payload)
+	if err != nil {
+		putBuf(resp.payload)
+		return 0, err
 	}
 	if len(dst) < len(payload) {
 		putBuf(resp.payload)

@@ -20,9 +20,8 @@ func testTraceHook() func(*metric.Set, []byte) []byte {
 	}
 }
 
-// TestSockTraceNegotiated: with capTrace on both ends, update responses
-// carry the server's TRC1 block into UpdateOp.Trace while the data
-// payload stays intact.
+// TestSockTraceNegotiated: update responses carry the server's TRC1 block
+// into UpdateOp.Trace while the data payload stays intact.
 func TestSockTraceNegotiated(t *testing.T) {
 	reg := newTestRegistry(t, 3)
 	srv := NewServer(reg)
@@ -38,8 +37,6 @@ func TestSockTraceNegotiated(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// Capabilities (including trace) negotiate on the first dir exchange,
-	// exactly as a daemon's producer does before looking anything up.
 	names, err := conn.Dir(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +48,7 @@ func TestSockTraceNegotiated(t *testing.T) {
 	var dec obs.HopDecoder
 	for i := range ops {
 		if len(ops[i].Trace) == 0 {
-			t.Fatalf("op %d: no trace block on a trace-negotiated connection", i)
+			t.Fatalf("op %d: no trace block in the update response", i)
 		}
 		hops, err := dec.Decode(ops[i].Trace, nil)
 		if err != nil {
@@ -75,54 +72,6 @@ func TestSockTraceNegotiated(t *testing.T) {
 		if hops, err := dec.Decode(ops[i].Trace, nil); err != nil || len(hops) != 2 {
 			t.Fatalf("op %d second pass: hops=%v err=%v", i, hops, err)
 		}
-	}
-}
-
-// TestSockTraceLegacyPeer: when either side masks capTrace, updates flow
-// exactly as before tracing existed — same data bytes, empty Trace.
-func TestSockTraceLegacyPeer(t *testing.T) {
-	for _, tc := range []struct {
-		name           string
-		dialer, server SockFactory
-	}{
-		{"legacy dialer", SockFactory{NoTrace: true}, SockFactory{}},
-		{"legacy server", SockFactory{}, SockFactory{NoTrace: true}},
-		{"both legacy", SockFactory{NoTrace: true}, SockFactory{NoTrace: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := newTestRegistry(t, 2)
-			srv := NewServer(reg)
-			srv.Trace = testTraceHook() // hook present, but un-negotiated
-			ln, err := tc.server.Listen("127.0.0.1:0", srv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			conn, err := tc.dialer.Dial(ln.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-
-			// Negotiate: the un-masked side offers capTrace, the masked side
-			// doesn't, so the conjunction disables the trace path.
-			names, err := conn.Dir(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ops := lookupAll(t, conn, names)
-			// Pre-fill Trace with junk: legacy pulls must reset it to empty.
-			for i := range ops {
-				ops[i].Trace = []byte("stale")
-			}
-			UpdateAll(context.Background(), conn, ops)
-			checkOps(t, ops)
-			for i := range ops {
-				if len(ops[i].Trace) != 0 {
-					t.Fatalf("op %d: legacy peer delivered a trace block (%d bytes)", i, len(ops[i].Trace))
-				}
-			}
-		})
 	}
 }
 
@@ -154,27 +103,5 @@ func TestMemTraceParity(t *testing.T) {
 		if err != nil || len(hops) != 2 {
 			t.Fatalf("op %d: hops=%v err=%v", i, hops, err)
 		}
-	}
-
-	// Legacy mem peer: factory masks the trace path.
-	lf := MemFactory{Net: NewNetwork(), NoTrace: true}
-	reg2 := newTestRegistry(t, 1)
-	srv2 := NewServer(reg2)
-	srv2.Trace = testTraceHook()
-	ln2, err := lf.Listen("legacy", srv2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln2.Close()
-	conn2, err := lf.Dial("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	ops2 := lookupAll(t, conn2, reg2.Dir())
-	UpdateAll(context.Background(), conn2, ops2)
-	checkOps(t, ops2)
-	if len(ops2[0].Trace) != 0 {
-		t.Fatalf("legacy mem peer delivered a trace block (%d bytes)", len(ops2[0].Trace))
 	}
 }

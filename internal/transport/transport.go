@@ -83,10 +83,10 @@ func DirGenOf(ctx context.Context, conn Conn) (uint64, bool, error) {
 // would return them.
 //
 // A caller whose Dst already holds the data chunk from a previous completed
-// pull may set AckDGN to that chunk's DGN and HaveAck true; transports that
-// negotiated delta updates then ask the server for only the metrics changed
-// since, patch them into Dst, and report WasDelta. Transports or peers
-// without the capability ignore the ack and perform a full pull — Dst ends
+// pull may set AckDGN to that chunk's DGN and HaveAck true; the transport
+// then asks the server for only the metrics changed since, patches them
+// into Dst, and reports WasDelta. The server may answer with a full chunk
+// instead, and transports without a batch path ignore the ack — Dst ends
 // up holding the current chunk either way.
 type UpdateOp struct {
 	Set      RemoteSet
@@ -96,12 +96,12 @@ type UpdateOp struct {
 	N        int
 	Err      error
 	WasDelta bool // this pull moved a delta, not a full chunk
-	// Trace receives the server's hop-chain trace block for this pull when
-	// the connection negotiated the trace capability: the transport appends
-	// the block's bytes to Trace (reusing its capacity — pass a recycled
-	// slice truncated to length 0) before the op completes. Left at length
-	// 0 on legacy connections, transports without trace support, and
-	// errors. The bytes decode with obs.HopDecoder.
+	// Trace receives the server's hop-chain trace block for this pull: the
+	// transport appends the block's bytes to Trace (reusing its capacity —
+	// pass a recycled slice truncated to length 0) before the op completes.
+	// Left at length 0 when the server has no chain for the set, on the
+	// non-batched path, and on errors. The bytes decode with
+	// obs.HopDecoder.
 	Trace []byte
 }
 

@@ -335,16 +335,13 @@ func TestWireStringRoundTrip(t *testing.T) {
 
 func TestDirRespRoundTrip(t *testing.T) {
 	names := []string{"a/b", "c", "a-very-long-set-instance-name/with/slashes"}
-	enc, err := encodeDirResp(names, 0)
+	enc, err := encodeDirResp(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, caps, err := decodeDirResp(enc)
+	got, err := decodeDirResp(enc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if caps != 0 {
-		t.Errorf("caps = %#x want 0", caps)
 	}
 	if len(got) != len(names) {
 		t.Fatalf("got %v", got)
@@ -354,7 +351,7 @@ func TestDirRespRoundTrip(t *testing.T) {
 			t.Errorf("name %d = %q want %q", i, got[i], names[i])
 		}
 	}
-	if _, _, err := decodeDirResp([]byte{1}); err == nil {
+	if _, err := decodeDirResp([]byte{1}); err == nil {
 		t.Error("short dir response accepted")
 	}
 }

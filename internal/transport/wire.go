@@ -20,13 +20,12 @@ import (
 //
 // Request/response payloads:
 //
-//	dirReq          (empty, or a caps block from a capability-aware peer)
-//	dirResp         u32 count, then count length-prefixed names, then an
-//	                optional caps block
+//	dirReq          (empty)
+//	dirResp         u32 count, then count length-prefixed names
 //	lookupReq       length-prefixed instance name
 //	lookupResp      u32 set handle, then metadata chunk bytes
 //	updateReq       u32 set handle
-//	updateResp      data chunk bytes
+//	updateResp      trace prefix, then data chunk bytes
 //	errResp         length-prefixed message
 const (
 	msgDirReq = iota + 1
@@ -240,46 +239,8 @@ func readString(b []byte, pos int) (string, int, error) {
 	return string(b[pos+2 : pos+2+n]), pos + 2 + n, nil
 }
 
-// Capability negotiation. A capability-aware client appends a caps block to
-// its dir request payload (legacy servers ignore dir request payloads); a
-// capability-aware server appends a caps block after the names in its dir
-// response (legacy clients stop reading after the last name). Both sides
-// therefore learn the peer's capabilities on the first dir exchange of a
-// connection — which every consumer performs before any lookup or update —
-// and peers that never produce a block are treated as legacy in both
-// directions. The block is a magic word plus a bit set:
-//
-//	u32 capsMagic | u32 capability bits
-const (
-	capDelta    = 1 << 0 // peer serves delta update requests
-	capDict     = 1 << 1 // peer speaks dictionary-coded dir/lookup traffic
-	capCompress = 1 << 2 // peer accepts deflate-compressed frames
-	capTrace    = 1 << 3 // peer speaks trace-block-prefixed update responses ("TRC1")
-
-	capsMagic = 0x43505331 // "CPS1"
-	capsLen   = 8
-)
-
-// capsAll is what this implementation offers by default.
-const capsAll = capDelta | capDict | capCompress | capTrace
-
-// appendCaps appends a caps block.
-func appendCaps(b []byte, caps uint32) []byte {
-	b = wireLE.AppendUint32(b, capsMagic)
-	return wireLE.AppendUint32(b, caps)
-}
-
-// parseCaps reads a caps block at pos, if one is present.
-func parseCaps(b []byte, pos int) (uint32, bool) {
-	if pos+capsLen > len(b) || wireLE.Uint32(b[pos:]) != capsMagic {
-		return 0, false
-	}
-	return wireLE.Uint32(b[pos+4:]), true
-}
-
-// encodeDirResp serializes a name list, then a caps block when the server
-// advertises capabilities (caps != 0).
-func encodeDirResp(names []string, caps uint32) ([]byte, error) {
+// encodeDirResp serializes a name list.
+func encodeDirResp(names []string) ([]byte, error) {
 	b := wireLE.AppendUint32(nil, uint32(len(names)))
 	var err error
 	for _, n := range names {
@@ -287,35 +248,31 @@ func encodeDirResp(names []string, caps uint32) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if caps != 0 {
-		b = appendCaps(b, caps)
-	}
 	return b, nil
 }
 
-// decodeDirResp parses a name list and any trailing caps block.
-func decodeDirResp(b []byte) ([]string, uint32, error) {
+// decodeDirResp parses a name list.
+func decodeDirResp(b []byte) ([]string, error) {
 	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("transport: short dir response")
+		return nil, fmt.Errorf("transport: short dir response")
 	}
 	count := int(wireLE.Uint32(b))
 	// Each name costs at least its 2-byte length prefix; a count beyond
 	// that is a corrupt or hostile frame (and must not drive allocation).
 	if count > (len(b)-4)/2 {
-		return nil, 0, fmt.Errorf("transport: dir response claims %d names in %d bytes", count, len(b))
+		return nil, fmt.Errorf("transport: dir response claims %d names in %d bytes", count, len(b))
 	}
 	names := make([]string, 0, count)
 	pos := 4
 	for i := 0; i < count; i++ {
 		s, next, err := readString(b, pos)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		names = append(names, s)
 		pos = next
 	}
-	caps, _ := parseCaps(b, pos)
-	return names, caps, nil
+	return names, nil
 }
 
 // msgHello announces the dialing peer's name for reversed-direction pulls
@@ -334,20 +291,15 @@ const (
 	msgDirGenResp = msgHello + 2
 )
 
-// Wire-efficiency message types, used only after the peer advertised the
-// matching capability:
+// Delta update messages:
 //
 //	deltaUpdateReq   u32 set handle | u64 base DGN the requester holds
-//	deltaUpdateResp  u8 kind, then a full data chunk (kind 0) or a delta
-//	                 update payload (kind 1, decoded by metric.ApplyDelta)
-//	dirDictResp      dictionary-coded name list (see encodeDirDictResp),
-//	                 then a caps block
-//	lookupDictReq    u32 dictionary id of the instance name
+//	deltaUpdateResp  trace prefix, u8 kind, then a full data chunk (kind 0)
+//	                 or a delta update payload (kind 1, decoded by
+//	                 metric.ApplyDelta)
 const (
 	msgDeltaUpdateReq  = msgDirGenResp + 1
 	msgDeltaUpdateResp = msgDirGenResp + 2
-	msgDirDictResp     = msgDirGenResp + 3
-	msgLookupDictReq   = msgDirGenResp + 4
 )
 
 // Delta update response kinds.
@@ -356,16 +308,15 @@ const (
 	deltaKindDelta = 1 // payload is a metric delta update
 )
 
-// Trace blocks. With capTrace negotiated by both peers, every update and
-// delta-update response payload is prefixed with
+// Trace blocks. Every update and delta-update response payload is
+// prefixed with
 //
 //	u16 trace length | trace block ("TRC1", see obs.AppendHops)
 //
-// followed by the exact legacy payload bytes. The block rides in front —
+// followed by the data chunk or delta payload. The block rides in front —
 // not behind — because delta payloads are validated to their exact length
 // by metric.ApplyDelta, so trailing bytes would be rejected. A zero trace
-// length is valid (the server has no hop chain for the set). Peers that
-// never advertised capTrace see byte-identical legacy payloads.
+// length is valid (the server has no hop chain for the set).
 const traceLenPrefix = 2
 
 // traceSlack is the buffer headroom reserved for a trace block ahead of a
@@ -374,7 +325,7 @@ const traceLenPrefix = 2
 const traceSlack = 2048
 
 // splitTracePrefix slices a trace-prefixed payload into its trace block
-// and the legacy payload bytes.
+// and the payload bytes after it.
 func splitTracePrefix(b []byte) (trace, rest []byte, err error) {
 	if len(b) < traceLenPrefix {
 		return nil, nil, errBadTracePrefix
@@ -388,143 +339,8 @@ func splitTracePrefix(b []byte) (trace, rest []byte, err error) {
 
 var errBadTracePrefix = errors.New("transport: malformed trace prefix")
 
-// String dictionaries. Dir and lookup traffic repeats the same instance
-// names every pass; with capDict negotiated the serving side assigns each
-// name a sequential u32 id the first time it is sent and ships bare ids
-// afterward, and the consuming side mirrors the table and references names
-// by id in lookups. Tables are per connection and per direction, so a
-// reconnect naturally resets both sides.
-//
-// Dictionary-coded name list:
-//
-//	u32 count, then per name:
-//	u8 tag — 0 references an existing id, 1 defines the next id
-//	u32 id (definitions must use the next sequential id)
-//	if tag 1: u16 length | name bytes
-const (
-	dictTagRef = 0
-	dictTagDef = 1
-)
-
-var (
-	errDictBadTag = errors.New("transport: bad dictionary entry tag")
-	errDictBadID  = errors.New("transport: dictionary id out of sequence")
-)
-
-// sendDict is the serving half's table: name → id, plus the reverse slice
-// for resolving dictionary-coded lookup requests.
-type sendDict struct {
-	ids   map[string]uint32
-	names []string
-}
-
-// id returns the name's dictionary id, assigning the next sequential id on
-// first use; fresh reports whether this call defined it.
-func (d *sendDict) id(s string) (id uint32, fresh bool) {
-	if i, ok := d.ids[s]; ok {
-		return i, false
-	}
-	if d.ids == nil {
-		d.ids = make(map[string]uint32)
-	}
-	id = uint32(len(d.names))
-	d.ids[s] = id
-	d.names = append(d.names, s)
-	return id, true
-}
-
-// name resolves a dictionary id from a lookup request.
-func (d *sendDict) name(id uint32) (string, bool) {
-	if int(id) >= len(d.names) {
-		return "", false
-	}
-	return d.names[id], true
-}
-
-// recvDict is the consuming half's mirror of the peer's sendDict, with a
-// reverse index so lookups can reference names by id.
-type recvDict struct {
-	names []string
-	ids   map[string]uint32
-}
-
-// encodeDirDictResp serializes a dictionary-coded name list followed by a
-// caps block, defining ids for names the dictionary has not sent yet.
-func encodeDirDictResp(names []string, d *sendDict, caps uint32) ([]byte, error) {
-	b := wireLE.AppendUint32(nil, uint32(len(names)))
-	var err error
-	for _, n := range names {
-		id, fresh := d.id(n)
-		if fresh {
-			b = append(b, dictTagDef)
-			b = wireLE.AppendUint32(b, id)
-			if b, err = appendString(b, n); err != nil {
-				return nil, err
-			}
-		} else {
-			b = append(b, dictTagRef)
-			b = wireLE.AppendUint32(b, id)
-		}
-	}
-	if caps != 0 {
-		b = appendCaps(b, caps)
-	}
-	return b, nil
-}
-
-// decodeDirDictResp parses a dictionary-coded name list, extending the
-// mirror table with definitions, and returns the names plus any caps block.
-// Sequential-id enforcement means a hostile peer cannot make the table
-// sparse or force large allocations.
-func decodeDirDictResp(b []byte, d *recvDict) ([]string, uint32, error) {
-	if len(b) < 4 {
-		return nil, 0, fmt.Errorf("transport: short dict dir response")
-	}
-	count := int(wireLE.Uint32(b))
-	// Every entry costs at least the tag and id bytes.
-	if count > (len(b)-4)/5 {
-		return nil, 0, fmt.Errorf("transport: dict dir response claims %d names in %d bytes", count, len(b))
-	}
-	names := make([]string, 0, count)
-	pos := 4
-	for i := 0; i < count; i++ {
-		if pos+5 > len(b) {
-			return nil, 0, fmt.Errorf("transport: truncated dict entry")
-		}
-		tag := b[pos]
-		id := wireLE.Uint32(b[pos+1:])
-		pos += 5
-		switch tag {
-		case dictTagRef:
-			if int(id) >= len(d.names) {
-				return nil, 0, errDictBadID
-			}
-			names = append(names, d.names[id])
-		case dictTagDef:
-			if int(id) != len(d.names) {
-				return nil, 0, errDictBadID
-			}
-			s, next, err := readString(b, pos)
-			if err != nil {
-				return nil, 0, err
-			}
-			pos = next
-			if d.ids == nil {
-				d.ids = make(map[string]uint32)
-			}
-			d.ids[s] = id
-			d.names = append(d.names, s)
-			names = append(names, s)
-		default:
-			return nil, 0, errDictBadTag
-		}
-	}
-	caps, _ := parseCaps(b, pos)
-	return names, caps, nil
-}
-
-// Frame compression. With capCompress negotiated either side may set the
-// top bit of the message type; the payload is then
+// Frame compression. Either side may set the top bit of the message type;
+// the payload is then
 //
 //	u32 raw length | deflate stream
 //

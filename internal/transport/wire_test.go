@@ -63,11 +63,11 @@ func TestDirRespRoundTripQuick(t *testing.T) {
 				names[i] = n[:60000]
 			}
 		}
-		enc, err := encodeDirResp(names, 0)
+		enc, err := encodeDirResp(names)
 		if err != nil {
 			return false
 		}
-		got, _, err := decodeDirResp(enc)
+		got, err := decodeDirResp(enc)
 		if err != nil {
 			return false
 		}
@@ -140,7 +140,7 @@ func TestAppendStringTooLong(t *testing.T) {
 		t.Fatalf("boundary string corrupted: len=%d err=%v", len(got), err)
 	}
 	// Encoders that carry names refuse rather than truncate.
-	if _, err := encodeDirResp([]string{"ok", long}, 0); err == nil {
+	if _, err := encodeDirResp([]string{"ok", long}); err == nil {
 		t.Error("encodeDirResp accepted an oversized name")
 	}
 }
